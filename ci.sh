@@ -41,6 +41,11 @@ done
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
+echo "== perfbench exact-repeat + catalogue tests =="
+# a host-only change that moves an exact sim/comms/fleet/journal metric
+# fails here; builds into the benchmark's own target dir
+CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test -p distmsm-comms -q =="
 cargo test -p distmsm-comms -q
 

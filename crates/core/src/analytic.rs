@@ -107,10 +107,24 @@ pub fn estimate_distmsm(
     system: &MultiGpuSystem,
     config: &DistMsmConfig,
 ) -> MsmEstimate {
+    let model = EcKernelModel::new(curve.limbs32, config.kernel_opts);
+    estimate_distmsm_with_model(n, curve, system, config, &model)
+}
+
+/// [`estimate_distmsm`] against a prebuilt kernel model for
+/// `curve.limbs32` and `config.kernel_opts`. The model depends only on
+/// those two, so one model serves every window size of the search.
+pub(crate) fn estimate_distmsm_with_model(
+    n: u64,
+    curve: &CurveDesc,
+    system: &MultiGpuSystem,
+    config: &DistMsmConfig,
+    model: &EcKernelModel,
+) -> MsmEstimate {
     match config.window_size {
-        Some(s) => estimate_distmsm_with_s(n, curve, system, config, s),
+        Some(s) => estimate_with_model(n, curve, system, config, s, model),
         None => (4..=22u32)
-            .map(|s| estimate_distmsm_with_s(n, curve, system, config, s))
+            .map(|s| estimate_with_model(n, curve, system, config, s, model))
             .min_by(|a, b| a.total_s.total_cmp(&b.total_s))
             // infallible: the literal range 4..=22 is non-empty
             .expect("non-empty window range"),
@@ -125,8 +139,20 @@ pub fn estimate_distmsm_with_s(
     config: &DistMsmConfig,
     s: u32,
 ) -> MsmEstimate {
-    let cost_cfg = CostModelConfig::default();
     let model = EcKernelModel::new(curve.limbs32, config.kernel_opts);
+    estimate_with_model(n, curve, system, config, s, &model)
+}
+
+/// [`estimate_distmsm_with_s`] against a prebuilt kernel model.
+fn estimate_with_model(
+    n: u64,
+    curve: &CurveDesc,
+    system: &MultiGpuSystem,
+    config: &DistMsmConfig,
+    s: u32,
+    model: &EcKernelModel,
+) -> MsmEstimate {
+    let cost_cfg = CostModelConfig::default();
     let dev = &system.devices[0];
     let resident = dev.resident_threads_per_sm(
         model.regs_per_thread(),
@@ -214,7 +240,7 @@ pub fn estimate_distmsm_with_s(
         // --- bucket-sum -----------------------------------------------------
         let tpb = threads_per_bucket(gpu_threads, slice_buckets);
         let sum_stats =
-            bucket_sum_stats(expected_inserts, slice_buckets, tpb, &model, config.block_size);
+            bucket_sum_stats(expected_inserts, slice_buckets, tpb, model, config.block_size);
         sum_per_gpu[slice.gpu] += estimate_kernel_time(dev, &sum_stats, &cost_cfg).total();
 
         // --- bucket-reduce --------------------------------------------------
@@ -225,7 +251,7 @@ pub fn estimate_distmsm_with_s(
                 slice_buckets,
                 s,
                 gpu_threads,
-                &model,
+                model,
                 curve.a_is_zero,
                 config.block_size,
             );
@@ -244,10 +270,10 @@ pub fn estimate_distmsm_with_s(
     };
     let transfer_s = comm.total_s;
     let comm_host_s =
-        cpu_seconds_for_padds(comm.host_reduce_ops, &model, system.cpu.int_ops_per_sec);
-    let cpu_reduce_s = cpu_seconds_for_padds(cpu_padds, &model, system.cpu.int_ops_per_sec);
+        cpu_seconds_for_padds(comm.host_reduce_ops, model, system.cpu.int_ops_per_sec);
+    let cpu_reduce_s = cpu_seconds_for_padds(cpu_padds, model, system.cpu.int_ops_per_sec);
     let wr_ops = u64::from(curve.scalar_bits) + u64::from(n_windows);
-    let window_reduce_s = cpu_seconds_for_padds(wr_ops, &model, system.cpu.int_ops_per_sec);
+    let window_reduce_s = cpu_seconds_for_padds(wr_ops, model, system.cpu.int_ops_per_sec);
 
     let per_gpu: Vec<f64> = (0..n_gpus)
         .map(|g| scatter_per_gpu[g] + sum_per_gpu[g] + gpu_reduce_per_gpu[g])
@@ -301,8 +327,7 @@ pub fn estimate_best_gpu(
     // Baselines tune their window size empirically for their own design
     // (large windows, naive scatter, on-GPU reduce), so pick the s that
     // minimises their own estimate.
-    let base_config = |s: u32| DistMsmConfig {
-        window_size: Some(s),
+    let base_config = DistMsmConfig {
         scatter: Some(ScatterKind::Naive),
         kernel_opts,
         bucket_reduce_on_cpu: false,
@@ -310,8 +335,9 @@ pub fn estimate_best_gpu(
         packed_coefficients: false, // baselines stream raw scalars
         ..DistMsmConfig::default()
     };
+    let model = EcKernelModel::new(curve.limbs32, kernel_opts);
     (10..=22u32)
-        .map(|s| estimate_distmsm((n / g).max(1), curve, &single, &base_config(s)))
+        .map(|s| estimate_with_model((n / g).max(1), curve, &single, &base_config, s, &model))
         .min_by(|a, b| a.total_s.total_cmp(&b.total_s))
         // infallible: the literal range 10..=22 is non-empty
         .expect("non-empty window range")
@@ -358,6 +384,47 @@ mod tests {
         let bn = estimate_distmsm(1 << 24, &CurveDesc::BN254, &sys, &cfg);
         let mnt = estimate_distmsm(1 << 24, &CurveDesc::MNT4753, &sys, &cfg);
         assert!(mnt.total_s > 5.0 * bn.total_s);
+    }
+
+    fn estimate_bits(e: &MsmEstimate) -> (u32, u32, [u64; 6], bool) {
+        let p = &e.phases;
+        let times = [
+            p.scatter_s,
+            p.bucket_sum_s,
+            p.bucket_reduce_s,
+            p.window_reduce_s,
+            p.transfer_s,
+            e.total_s,
+        ];
+        (e.window_size, e.n_windows, times.map(f64::to_bits), e.feasible)
+    }
+
+    #[test]
+    fn shared_model_search_matches_per_size_estimates() {
+        for curve in &CurveDesc::ALL {
+            for gpus in [1, 8, 16] {
+                let sys = MultiGpuSystem::dgx_a100(gpus);
+                for n in [63u64, 1 << 12, 1 << 20] {
+                    for signed_digits in [false, true] {
+                        let cfg = DistMsmConfig {
+                            signed_digits,
+                            ..DistMsmConfig::default()
+                        };
+                        let best = (4..=22u32)
+                            .map(|s| estimate_distmsm_with_s(n, curve, &sys, &cfg, s))
+                            .min_by(|a, b| a.total_s.total_cmp(&b.total_s))
+                            .unwrap();
+                        let searched = estimate_distmsm(n, curve, &sys, &cfg);
+                        assert_eq!(
+                            estimate_bits(&searched),
+                            estimate_bits(&best),
+                            "{} × {gpus} GPUs, n = {n}, signed = {signed_digits}",
+                            curve.name
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@
 
 use crate::analytic::CurveDesc;
 use crate::engine::{window_shape, DistMsm};
+use crate::reduce::bucket_reduce_serial;
 use distmsm_ec::serialize::{point_from_uncompressed, point_to_uncompressed, CanonicalBytes};
 use distmsm_ec::{Affine, Curve, MsmInstance, Scalar, XyzzPoint};
 
@@ -191,13 +192,7 @@ pub fn window_partial<C: Curve>(
             buckets[d].pacc(p);
         }
     }
-    let mut running = XyzzPoint::identity();
-    let mut partial = XyzzPoint::identity();
-    for b in buckets.iter().skip(1).rev() {
-        running = running.padd(b);
-        partial = partial.padd(&running);
-    }
-    partial
+    bucket_reduce_serial(&buckets[1..], 1).0
 }
 
 /// Horner fold of a full window-partial vector: `R = Σ_w 2^{w·s}·W_w`.
@@ -267,8 +262,8 @@ impl DistMsm {
         if cfg.interval == 0 {
             return Err(CheckpointError::ZeroInterval);
         }
-        let curve = CurveDesc::of::<C>();
-        let s = self.window_size_for(n, &curve);
+        let estimate = self.estimate(n, &CurveDesc::of::<C>());
+        let s = estimate.window_size;
         let (n_windows, n_buckets) = window_shape(C::SCALAR_BITS, s, false);
 
         let mut ckpt = match resume {
@@ -308,7 +303,7 @@ impl DistMsm {
         }
 
         let windows_computed = n_windows - start;
-        let compute_s = self.estimate_seconds(n, &curve) * f64::from(windows_computed)
+        let compute_s = estimate.total_s * f64::from(windows_computed)
             / f64::from(n_windows.max(1));
         Ok(WindowedMsmReport {
             result: fold_window_partials(&ckpt.partials, s),
@@ -351,10 +346,10 @@ pub fn estimate_checkpoint_recovery(
     point_bytes: usize,
     interval: u32,
 ) -> CheckpointRecoveryEstimate {
-    let s = engine.window_size_for(n as usize, curve);
-    let n_windows = window_shape(curve.scalar_bits, s, false).0;
+    let estimate = engine.estimate(n as usize, curve);
+    let n_windows = window_shape(curve.scalar_bits, estimate.window_size, false).0;
     let interval = interval.max(1);
-    let total_s = engine.estimate_seconds(n as usize, curve);
+    let total_s = estimate.total_s;
     let per_window_s = total_s / f64::from(n_windows.max(1));
 
     // Checkpoints emitted during a full fault-free run (the final

@@ -6,6 +6,7 @@
 //! threads), CPU (or GPU) bucket-reduce, and window-reduce — composing
 //! the metered kernel statistics into a wall-time estimate.
 
+use crate::analytic::estimate_distmsm_with_model;
 use crate::bucket_sum::{bucket_sum, threads_per_bucket};
 use crate::plan::{plan_slices, replan_slices, Slice};
 use crate::reduce::{
@@ -337,10 +338,9 @@ impl DistMsm {
     /// accounts for the CPU bucket-reduce, pushing multi-GPU runs to the
     /// small windows of §3.2).
     pub fn window_size_for(&self, n: usize, curve: &crate::analytic::CurveDesc) -> u32 {
-        self.config.window_size.unwrap_or_else(|| {
-            crate::analytic::estimate_distmsm(n as u64, curve, &self.system, &self.config)
-                .window_size
-        })
+        self.config
+            .window_size
+            .unwrap_or_else(|| self.estimate(n, curve).window_size)
     }
 
     /// Job-level admission estimate: the analytic cost-model projection
@@ -350,7 +350,18 @@ impl DistMsm {
     /// admitting a job (`distmsm-service`'s
     /// `AdmissionError::DeadlineInfeasible`).
     pub fn estimate_seconds(&self, n: usize, curve: &crate::analytic::CurveDesc) -> f64 {
-        crate::analytic::estimate_distmsm(n as u64, curve, &self.system, &self.config).total_s
+        self.estimate(n, curve).total_s
+    }
+
+    /// The full analytic estimate behind [`Self::window_size_for`] and
+    /// [`Self::estimate_seconds`], for callers that need both from one
+    /// window search.
+    pub(crate) fn estimate(
+        &self,
+        n: usize,
+        curve: &crate::analytic::CurveDesc,
+    ) -> crate::analytic::MsmEstimate {
+        crate::analytic::estimate_distmsm(n as u64, curve, &self.system, &self.config)
     }
 
     /// Executes an MSM, returning the verified-exact result and the
@@ -413,7 +424,12 @@ impl DistMsm {
             scalar_bits: C::SCALAR_BITS,
             a_is_zero: C::A_IS_ZERO,
         };
-        let s = self.window_size_for(instance.len(), &desc);
+        // same choice as `window_size_for`, searched with this call's model
+        let s = self.config.window_size.unwrap_or_else(|| {
+            let n = instance.len() as u64;
+            let best = estimate_distmsm_with_model(n, &desc, &self.system, &self.config, &model);
+            best.window_size
+        });
         let (n_windows, n_buckets) = window_shape(C::SCALAR_BITS, s, self.config.signed_digits);
         let slices = plan_slices(n_windows, n_buckets, n_gpus);
         // signed-digit recoding happens once, up front (like the packed
@@ -1227,27 +1243,33 @@ impl DistMsm {
     ) -> Result<Vec<SliceOutcome<C>>, MsmError> {
         let mut outcomes: Vec<Option<Result<SliceOutcome<C>, MsmError>>> =
             (0..jobs.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let chunk = jobs
-                .len()
-                .div_ceil(std::thread::available_parallelism().map_or(4, |p| p.get()))
-                .max(1);
-            for (job_chunk, out_chunk) in jobs.chunks(chunk).zip(outcomes.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for ((slice, event), out) in job_chunk.iter().zip(out_chunk.iter_mut()) {
-                        *out = Some(self.run_one_slice(
-                            instance,
-                            digits,
-                            s,
-                            gpu_threads,
-                            model,
-                            *slice,
-                            *event,
-                        ));
-                    }
-                });
+        let run_chunk = |job_chunk: &[(Slice, u64)], out_chunk: &mut [Option<_>]| {
+            for ((slice, event), out) in job_chunk.iter().zip(out_chunk.iter_mut()) {
+                *out = Some(self.run_one_slice(
+                    instance,
+                    digits,
+                    s,
+                    gpu_threads,
+                    model,
+                    *slice,
+                    *event,
+                ));
             }
-        });
+        };
+        let chunk = jobs
+            .len()
+            .div_ceil(std::thread::available_parallelism().map_or(4, |p| p.get()))
+            .max(1);
+        if chunk >= jobs.len() {
+            // one worker: run on the calling thread instead of spawning
+            run_chunk(jobs, &mut outcomes);
+        } else {
+            std::thread::scope(|scope| {
+                for (job_chunk, out_chunk) in jobs.chunks(chunk).zip(outcomes.chunks_mut(chunk)) {
+                    scope.spawn(move || run_chunk(job_chunk, out_chunk));
+                }
+            });
+        }
         let mut done = Vec::with_capacity(jobs.len());
         for (o, (slice, _)) in outcomes.into_iter().zip(jobs) {
             match o {

@@ -12,6 +12,7 @@
 //! per-window doubling chain — exactly the trade real fixed-base MSM
 //! deployments make, since the point vector is reused across proofs.
 
+use crate::reduce::bucket_reduce_serial;
 use distmsm_ec::{Affine, Curve, Scalar, XyzzPoint};
 
 /// Precomputed window-shifted copies of a point vector.
@@ -97,13 +98,7 @@ pub fn msm_precomputed<C: Curve>(
             }
         }
     }
-    let mut running = XyzzPoint::<C>::identity();
-    let mut sum = XyzzPoint::<C>::identity();
-    for b in buckets.iter().skip(1).rev() {
-        running = running.padd(b);
-        sum = sum.padd(&running);
-    }
-    sum
+    bucket_reduce_serial(&buckets[1..], 1).0
 }
 
 /// Point-operation counts with and without precomputation, for the

@@ -5,14 +5,26 @@
 //! the classic suffix-sum trick; executed as a GPU parallel reduction it
 //! costs each thread `2s·⌈2^s/N_T⌉ + …` operations (§3.1) — which is why
 //! DistMSM moves it to the CPU for small windows.
+//!
+//! The host's serial reduce skips runs of empty buckets (one small
+//! double-and-add per run instead of a PADD per bucket), which matters
+//! for small MSMs whose windows are mostly empty. The modeled CPU cost
+//! stays at two PADDs per bucket: it prices the paper's reduce, not the
+//! host's shortcut.
 
-use distmsm_ec::{Curve, Scalar, XyzzPoint};
+use distmsm_ec::{Curve, XyzzPoint};
 use distmsm_gpu_sim::{LaunchStats, ThreadCost};
 use distmsm_kernel::EcKernelModel;
 
 /// Serial bucket-reduce over a bucket slice `[lo, lo + sums.len())`:
 /// returns `Σ_i (lo + i)·B_i` and the number of PADD-equivalent
-/// operations spent (for the CPU cost model).
+/// operations the modeled CPU reduce spends (two per bucket plus the
+/// offset correction, whether or not a bucket is empty).
+///
+/// A run of `g` empty buckets adds the unchanged running sum `g` times;
+/// the host adds `g·running` once instead, so sparse slices cost
+/// `O(log g)` point operations per run. Without empty buckets the PADD
+/// sequence is exactly the textbook suffix-sum loop.
 pub fn bucket_reduce_serial<C: Curve>(sums: &[XyzzPoint<C>], lo: u32) -> (XyzzPoint<C>, u64) {
     if sums.is_empty() {
         return (XyzzPoint::identity(), 0);
@@ -20,21 +32,41 @@ pub fn bucket_reduce_serial<C: Curve>(sums: &[XyzzPoint<C>], lo: u32) -> (XyzzPo
     // suffix sums give Σ (i+1)·B_i …
     let mut running = XyzzPoint::<C>::identity();
     let mut acc = XyzzPoint::<C>::identity();
-    let mut ops: u64 = 0;
+    // empty buckets since the last non-empty one (adding 0·running is a
+    // no-op: PADD returns `acc` itself for an identity operand)
+    let mut empty_run: u64 = 0;
     for b in sums.iter().rev() {
+        if b.is_identity() {
+            empty_run += 1;
+            continue;
+        }
+        acc = acc.padd(&mul_u64(&running, std::mem::take(&mut empty_run)));
         running = running.padd(b);
         acc = acc.padd(&running);
-        ops += 2;
     }
+    acc = acc.padd(&mul_u64(&running, empty_run));
+    let mut ops = 2 * sums.len() as u64;
     // … so correct by (lo - 1)·ΣB_i (negative correction for lo = 0).
     let correction: i64 = i64::from(lo) - 1;
     if correction != 0 {
-        let scaled = running.scalar_mul(&C::Scalar::from_u64(correction.unsigned_abs()));
+        let scaled = mul_u64(&running, correction.unsigned_abs());
         let adj = if correction < 0 { scaled.neg() } else { scaled };
         acc = acc.padd(&adj);
         ops += 2 * (64 - correction.unsigned_abs().leading_zeros() as u64) + 1;
     }
     (acc, ops)
+}
+
+/// `k·p` by left-to-right double-and-add over the bits of a `u64`.
+fn mul_u64<C: Curve>(p: &XyzzPoint<C>, k: u64) -> XyzzPoint<C> {
+    let mut acc = XyzzPoint::<C>::identity();
+    for i in (0..u64::BITS - k.leading_zeros()).rev() {
+        acc = acc.pdbl();
+        if (k >> i) & 1 == 1 {
+            acc = acc.padd(p);
+        }
+    }
+    acc
 }
 
 /// GPU parallel bucket-reduce statistics (the baseline path the paper

@@ -9,6 +9,7 @@
 //! atomic contention during scatter, which is exactly the trade the
 //! hierarchical scatter of §3.2.1 absorbs.
 
+use crate::reduce::bucket_reduce_serial;
 use distmsm_ec::{Affine, Curve, Scalar, XyzzPoint};
 
 /// Signed-window decomposition of one scalar.
@@ -70,13 +71,7 @@ pub fn signed_pippenger<C: Curve>(
                 core::cmp::Ordering::Equal => {}
             }
         }
-        let mut running = XyzzPoint::<C>::identity();
-        let mut sum = XyzzPoint::<C>::identity();
-        for b in buckets.iter().skip(1).rev() {
-            running = running.padd(b);
-            sum = sum.padd(&running);
-        }
-        acc = acc.padd(&sum);
+        acc = acc.padd(&bucket_reduce_serial(&buckets[1..], 1).0);
     }
     acc
 }

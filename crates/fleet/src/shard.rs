@@ -15,6 +15,7 @@
 //! is allowed into the reduce: a byzantine pod is detected,
 //! quarantined, and its shard re-placed on the first healthy pod.
 
+use distmsm::reduce::bucket_reduce_serial;
 use distmsm::{
     shard_points_with_ir, window_shape, CollectiveStrategy, DistMsm, DistMsmConfig,
 };
@@ -105,14 +106,8 @@ pub fn window_partials<C: Curve>(
                     buckets[d].pacc(p);
                 }
             }
-            // Suffix running-sum: Σ d·B_d.
-            let mut running = XyzzPoint::identity();
-            let mut partial = XyzzPoint::identity();
-            for b in buckets.iter().skip(1).rev() {
-                running = running.padd(b);
-                partial = partial.padd(&running);
-            }
-            partial
+            // Σ d·B_d over the non-zero digits
+            bucket_reduce_serial(&buckets[1..], 1).0
         })
         .collect()
 }

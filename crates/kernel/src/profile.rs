@@ -111,6 +111,10 @@ pub struct EcKernelModel {
     live_bigints: usize,
     shared_bigints: usize,
     spill_transfers: usize,
+    acc: ThreadCost,
+    padd: ThreadCost,
+    pdbl_a_zero: ThreadCost,
+    pdbl_a_nonzero: ThreadCost,
 }
 
 impl EcKernelModel {
@@ -122,35 +126,30 @@ impl EcKernelModel {
     /// Panics if `limbs32` is zero.
     pub fn new(limbs32: usize, opts: PaddOptimizations) -> Self {
         assert!(limbs32 > 0, "limbs32 must be positive");
-        let graph = if opts.dedicated_pacc {
-            pacc_graph()
-        } else {
-            padd_graph()
+        let sched = build_schedule(&opts);
+        let (live, shared, transfers) = match &sched.spill {
+            // the paper's two-big-integer reduction
+            Some(s) => (sched.peak_live - 2, s.shared_peak, s.transfers),
+            None => (sched.peak_live, 0, 0),
         };
-        let (policy, order, peak) = if opts.optimal_order {
-            let (peak, order) = graph.optimal_order(AllocPolicy::InPlace);
-            (AllocPolicy::InPlace, order, peak)
-        } else {
-            let order = graph.program_order();
-            let peak = graph.pressure_of(&order, AllocPolicy::Fresh).peak_live;
-            (AllocPolicy::Fresh, order, peak)
-        };
-        let (live, shared, transfers) = if opts.explicit_spill && peak > 2 {
-            let budget = peak - 2; // the paper's two-big-integer reduction
-            match spill_schedule(&graph, &order, budget, policy) {
-                Ok(s) => (budget, s.shared_peak, s.transfers),
-                Err(_) => (peak, 0, 0),
-            }
-        } else {
-            (peak, 0, 0)
-        };
-        Self {
+        let mut model = Self {
             limbs32,
             opts,
             live_bigints: live,
             shared_bigints: shared,
             spill_transfers: transfers,
-        }
+            acc: ThreadCost::default(),
+            padd: ThreadCost::default(),
+            pdbl_a_zero: ThreadCost::default(),
+            pdbl_a_nonzero: ThreadCost::default(),
+        };
+        // the op costs depend only on the fields above, so they are priced
+        // once here: the cost queries sit on the window search's hot path
+        model.acc = model.graph_cost(&sched.graph);
+        model.padd = model.graph_cost(&padd_graph());
+        model.pdbl_a_zero = model.graph_cost(&pdbl_graph(true));
+        model.pdbl_a_nonzero = model.graph_cost(&pdbl_graph(false));
+        model
     }
 
     /// 32-bit limbs per field element.
@@ -162,31 +161,7 @@ impl EcKernelModel {
     /// graph choice, execution order and spill schedule are deterministic
     /// functions of the optimisation set).
     pub fn schedule(&self) -> KernelSchedule {
-        let graph = if self.opts.dedicated_pacc {
-            pacc_graph()
-        } else {
-            padd_graph()
-        };
-        let (policy, order, peak) = if self.opts.optimal_order {
-            let (peak, order) = graph.optimal_order(AllocPolicy::InPlace);
-            (AllocPolicy::InPlace, order, peak)
-        } else {
-            let order = graph.program_order();
-            let peak = graph.pressure_of(&order, AllocPolicy::Fresh).peak_live;
-            (AllocPolicy::Fresh, order, peak)
-        };
-        let spill = if self.opts.explicit_spill && peak > 2 {
-            spill_schedule(&graph, &order, peak - 2, policy).ok()
-        } else {
-            None
-        };
-        KernelSchedule {
-            graph,
-            order,
-            policy,
-            peak_live: peak,
-            spill,
-        }
+        build_schedule(&self.opts)
     }
 
     /// The active optimisation set.
@@ -305,27 +280,59 @@ impl EcKernelModel {
         total
     }
 
+    fn graph_cost(&self, g: &OpGraph) -> ThreadCost {
+        self.op_cost(g.mul_count(), g.addsub_count())
+    }
+
     /// Cost of the bucket-sum accumulation operation: PACC when the
     /// dedicated kernel is enabled, full PADD otherwise.
     pub fn acc_cost(&self) -> ThreadCost {
-        let g = if self.opts.dedicated_pacc {
-            pacc_graph()
-        } else {
-            padd_graph()
-        };
-        self.op_cost(g.mul_count(), g.addsub_count())
+        self.acc
     }
 
     /// Cost of one full PADD (partial-result merging).
     pub fn padd_cost(&self) -> ThreadCost {
-        let g = padd_graph();
-        self.op_cost(g.mul_count(), g.addsub_count())
+        self.padd
     }
 
     /// Cost of one PDBL.
     pub fn pdbl_cost(&self, a_is_zero: bool) -> ThreadCost {
-        let g = pdbl_graph(a_is_zero);
-        self.op_cost(g.mul_count(), g.addsub_count())
+        if a_is_zero {
+            self.pdbl_a_zero
+        } else {
+            self.pdbl_a_nonzero
+        }
+    }
+}
+
+/// Builds the scheduling artefacts for an optimisation set: the
+/// accumulation graph, its execution order and allocation policy, and the
+/// spill schedule when explicit spilling cuts the peak by two.
+fn build_schedule(opts: &PaddOptimizations) -> KernelSchedule {
+    let graph = if opts.dedicated_pacc {
+        pacc_graph()
+    } else {
+        padd_graph()
+    };
+    let (policy, order, peak) = if opts.optimal_order {
+        let (peak, order) = graph.optimal_order(AllocPolicy::InPlace);
+        (AllocPolicy::InPlace, order, peak)
+    } else {
+        let order = graph.program_order();
+        let peak = graph.pressure_of(&order, AllocPolicy::Fresh).peak_live;
+        (AllocPolicy::Fresh, order, peak)
+    };
+    let spill = if opts.explicit_spill && peak > 2 {
+        spill_schedule(&graph, &order, peak - 2, policy).ok()
+    } else {
+        None
+    };
+    KernelSchedule {
+        graph,
+        order,
+        policy,
+        peak_live: peak,
+        spill,
     }
 }
 
@@ -417,6 +424,29 @@ mod tests {
         let occ_base = d.occupancy(base.regs_per_thread(), 0, 256);
         let occ_opt = d.occupancy(opt.regs_per_thread(), 0, 256);
         assert!(occ_opt > 1.5 * occ_base, "{occ_opt} vs {occ_base}");
+    }
+
+    #[test]
+    fn stored_costs_match_graph_derived_costs() {
+        for limbs in [8, 12, 24] {
+            for (name, opts) in PaddOptimizations::waterfall() {
+                let m = EcKernelModel::new(limbs, opts);
+                let acc = if opts.dedicated_pacc {
+                    pacc_graph()
+                } else {
+                    padd_graph()
+                };
+                assert_eq!(m.acc_cost(), m.graph_cost(&acc), "{name} acc @ {limbs}");
+                assert_eq!(m.padd_cost(), m.graph_cost(&padd_graph()), "{name} padd @ {limbs}");
+                for a_is_zero in [true, false] {
+                    assert_eq!(
+                        m.pdbl_cost(a_is_zero),
+                        m.graph_cost(&pdbl_graph(a_is_zero)),
+                        "{name} pdbl(a_is_zero={a_is_zero}) @ {limbs}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
