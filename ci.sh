@@ -31,7 +31,7 @@ cargo build --release -p distmsm-suite -p distmsm-bench
 echo "== telemetry: default build carries no telemetry symbols =="
 # feature-off must mean compiled out, not merely inactive (the positive
 # control for this grep runs after the feature smoke run below)
-for bin in fault_sweep soak fleet_soak crash_soak partition_soak; do
+for bin in fault_sweep fig8 soak fleet_soak crash_soak partition_soak; do
     if grep -qa distmsm_telemetry "target/release/$bin"; then
         echo "FAIL: default-feature $bin binary contains telemetry symbols" >&2
         exit 1

@@ -1,5 +1,5 @@
 //! Comm-schedule checker: replays [`CommSchedule`]s captured from the
-//! comms crate's trace stream and verifies conservation and feasibility.
+//! comms crate's schedule stream and verifies conservation and feasibility.
 //!
 //! Three rule families over every captured schedule:
 //!
@@ -198,7 +198,7 @@ pub const COMM_SCENARIOS: [&str; 6] = [
     "baseline-merge",
 ];
 
-/// Runs one comm scenario under the comms crate's trace capture and
+/// Runs one comm scenario under a telemetry capture and
 /// returns every schedule it finalized.
 ///
 /// # Panics
@@ -208,18 +208,14 @@ pub const COMM_SCENARIOS: [&str; 6] = [
 pub fn capture_comm_scenario(scenario: &str) -> Vec<CommSchedule> {
     use distmsm::engine::{DistMsm, DistMsmConfig};
     use distmsm::BestGpuBaseline;
-    use distmsm_comms::schedule::trace::{begin_capture, end_capture};
     use distmsm_ec::{curves::Bn254G1, MsmInstance};
     use distmsm_gpu_sim::MultiGpuSystem;
+    use distmsm_telemetry::capture;
     use rand::{rngs::StdRng, SeedableRng};
 
-    let guard = crate::harness::CAPTURE_GUARD
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
     let mut rng = StdRng::seed_from_u64(0xC0_4417);
     let instance = MsmInstance::<Bn254G1>::random(256, &mut rng);
-    begin_capture();
-    match scenario {
+    let run = || match scenario {
         s if s.starts_with("collective-") => {
             let strat = distmsm::CollectiveStrategy::parse(&s["collective-".len()..])
                 .expect("strategy name");
@@ -250,10 +246,12 @@ pub fn capture_comm_scenario(scenario: &str) -> Vec<CommSchedule> {
                 .expect(scenario);
         }
         other => panic!("unknown comm scenario `{other}`"),
-    }
-    let schedules = end_capture();
-    drop(guard);
-    schedules
+    };
+    let ((), mut captured) = capture::record(|| {
+        capture::collect::<CommSchedule>();
+        run();
+    });
+    captured.take()
 }
 
 /// Captures every comm scenario and replays each schedule through the

@@ -23,6 +23,11 @@
 //!   outside the telemetry crate. Modelled time comes from the cost
 //!   model; host time is only legitimate in explicitly-labelled
 //!   measurement harnesses.
+//! * **DET-004** — a `static` whose type holds a `Mutex`, `RwLock`,
+//!   `Atomic*`, `RefCell` or `Cell`: process-global mutable state. Work
+//!   on one thread then leaks into what another thread records or
+//!   decides (the failure mode of a global capture sink); pass a value,
+//!   or scope the state to its owner.
 //!
 //! A line ending in a `// det-ok: <reason>` comment is exempt — the
 //! annotation is the audit trail for intentional wall-clock use (e.g.
@@ -149,15 +154,36 @@ pub fn lint_source(label: &str, source: &str) -> Report {
             report.push(Finding::new(
                 "DET-003",
                 Severity::Error,
-                loc,
+                loc.clone(),
                 "wall-clock read outside the telemetry crate: modelled time \
                  must come from the cost model; annotate intentional host-time \
                  measurement with `// det-ok: <reason>`"
                     .to_owned(),
             ));
         }
+        if is_static_decl(code) && INTERIOR_MUT.iter().any(|t| code.contains(t)) {
+            report.push(Finding::new(
+                "DET-004",
+                Severity::Error,
+                loc,
+                "static with interior mutability: process-global state lets \
+                 work on one thread leak into what another records or decides; \
+                 pass the state as a value or scope it to its owner"
+                    .to_owned(),
+            ));
+        }
     }
     report
+}
+
+/// Type-name fragments that give a `static` interior mutability
+/// (`Cell` also covers `RefCell`/`OnceCell`, `Atomic` every `Atomic*`).
+const INTERIOR_MUT: [&str; 4] = ["Mutex", "RwLock", "Atomic", "Cell"];
+
+/// True when `code` declares a `static` item (`static`, `pub static`,
+/// `pub(crate) static`, …); a `'static` bound is not a declaration.
+fn is_static_decl(code: &str) -> bool {
+    code.split_whitespace().take(2).any(|w| w == "static")
 }
 
 /// Recursively collects `.rs` files under `dir`, sorted for stable
@@ -226,7 +252,7 @@ pub fn lint_workspace() -> Report {
         "workspace".to_owned(),
         format!(
             "determinism lint walked {scanned} source files (rules \
-             DET-001/002/003)"
+             DET-001/002/003/004)"
         ),
     ));
     report
@@ -284,6 +310,33 @@ mod tests {
         assert_eq!(lint_source("crates/telemetry/src/lib.rs", &src).actionable(), 0);
         let ok = format!("let t = Instant::{}; // det-ok: measures host time\n", "now()");
         assert_eq!(lint_source("crates/core/src/engine.rs", &ok).actionable(), 0);
+    }
+
+    #[test]
+    fn det004_flags_statics_with_interior_mutability() {
+        for ty in [
+            "Mutex<Vec<u64>>",
+            "AtomicBool",
+            "std::sync::RwLock<u8>",
+            "OnceLock<Mutex<()>>",
+        ] {
+            let src = format!("static SINK: {ty} = todo!();\n");
+            let r = lint_source("x", &src);
+            assert_eq!(r.count(Severity::Error), 1, "{src}");
+            assert_eq!(r.findings[0].rule, "DET-004");
+        }
+        let scoped = "    pub(crate) static SLOT: RefCell<u8> = RefCell::new(0);\n";
+        assert_eq!(lint_source("x", scoped).actionable(), 1);
+        let ok = "static SLOT: RefCell<u8> = RefCell::new(0); // det-ok: thread-local\n";
+        assert_eq!(lint_source("x", ok).actionable(), 0);
+        // immutable statics, `'static` bounds and locals are not globals
+        for src in [
+            "static NAMES: [&str; 2] = [\"a\", \"b\"];\n",
+            "fn f(m: &'static Mutex<u8>) {}\n",
+            "let stop = AtomicBool::new(false);\n",
+        ] {
+            assert_eq!(lint_source("x", src).actionable(), 0, "{src}");
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@ use distmsm::engine::{DistMsm, DistMsmConfig};
 use distmsm::supervisor::RecoveryReport;
 use distmsm_ec::{curves::Bn254G1, MsmInstance, XyzzPoint};
 use distmsm_gpu_sim::{FaultEvent, FaultKind, FaultPlan, LinkFault, MultiGpuSystem};
+use distmsm_telemetry::capture;
 use rand::{rngs::StdRng, SeedableRng};
 
 /// The fault scenarios the checker injects. Together they cover the
@@ -105,11 +106,6 @@ pub fn run_fault_scenario(
     RecoveryReport,
     Vec<distmsm_comms::CommSchedule>,
 ) {
-    use distmsm_comms::schedule::trace::{begin_capture, end_capture};
-
-    let guard = crate::harness::CAPTURE_GUARD
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
     let (system, faulted_cfg, clean_cfg) = scenario_setup(scenario);
     let mut rng = StdRng::seed_from_u64(0xFA_017);
     let instance = MsmInstance::<Bn254G1>::random(256, &mut rng);
@@ -118,12 +114,13 @@ pub fn run_fault_scenario(
         .execute(&instance)
         .expect(scenario);
 
-    begin_capture();
-    let faulted = DistMsm::with_config(system, faulted_cfg)
-        .execute(&instance)
-        .expect(scenario);
-    let schedules = end_capture();
-    drop(guard);
+    let (faulted, mut captured) = capture::record(|| {
+        capture::collect::<distmsm_comms::CommSchedule>();
+        DistMsm::with_config(system, faulted_cfg)
+            .execute(&instance)
+            .expect(scenario)
+    });
+    let schedules = captured.take();
 
     let recovery = faulted.recovery.expect("supervised run reports recovery");
     (clean.result, faulted.result, recovery, schedules)

@@ -1,24 +1,20 @@
 //! Drives the shipped MSM kernels under trace capture and feeds the
 //! captured launches to the race checker.
 //!
-//! Capture state in `distmsm_gpu_sim::trace` is process-global, so every
-//! capture session takes the crate-internal `CAPTURE_GUARD` — concurrent test threads
-//! would otherwise interleave their launches into each other's captures.
+//! Each scenario runs inside its own `distmsm_telemetry::capture::record`
+//! call. The capture belongs to the calling thread (and the engine's slice
+//! workers, which join it), so scenarios on concurrent threads never see
+//! each other's launches.
 
 use crate::race::{check_traces, RaceConfig};
 use crate::report::{Finding, Report, Severity};
 use distmsm::engine::{DistMsm, DistMsmConfig};
-use distmsm::{cuzk, BestGpuBaseline, ScatterKind};
+use distmsm::{cuzk, BestGpuBaseline, DistMsmConfigBuilder, ScatterKind};
 use distmsm_ec::{curves::Bn254G1, MsmInstance};
-use distmsm_gpu_sim::trace::{begin_capture, end_capture, LaunchTrace};
+use distmsm_gpu_sim::trace::LaunchTrace;
 use distmsm_gpu_sim::MultiGpuSystem;
+use distmsm_telemetry::capture;
 use rand::{rngs::StdRng, SeedableRng};
-use std::sync::Mutex;
-
-/// Serialises capture sessions: both the gpu-sim launch trace and the
-/// comms schedule trace are process-global, and every captured scenario
-/// (here and in [`crate::comm`]) drives engines that feed both streams.
-pub(crate) static CAPTURE_GUARD: Mutex<()> = Mutex::new(());
 
 /// The execution paths the dynamic checker exercises. Together they cover
 /// every instrumented kernel: hierarchical and naive scatter, signed-digit
@@ -43,41 +39,19 @@ pub const SIZES: [usize; 2] = [256, 1024];
 /// Panics on an unknown scenario name or if the engine rejects the
 /// generated instance (both indicate a bug in this crate).
 pub fn capture_scenario(scenario: &str, size: usize) -> Vec<LaunchTrace> {
-    let guard = CAPTURE_GUARD.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = StdRng::seed_from_u64(0xD157_0000 ^ size as u64);
     let instance = MsmInstance::<Bn254G1>::random(size, &mut rng);
     const WINDOW: u32 = 8;
-    begin_capture();
-    match scenario {
-        "distmsm-default" => {
-            let cfg = DistMsmConfig::builder()
-                .window_size(WINDOW)
-                .build()
-                .unwrap();
-            DistMsm::with_config(MultiGpuSystem::dgx_a100(4), cfg)
-                .execute(&instance)
-                .expect("distmsm-default");
-        }
-        "distmsm-naive" => {
-            let cfg = DistMsmConfig::builder()
-                .window_size(WINDOW)
-                .scatter(ScatterKind::Naive)
-                .build()
-                .unwrap();
-            DistMsm::with_config(MultiGpuSystem::dgx_a100(4), cfg)
-                .execute(&instance)
-                .expect("distmsm-naive");
-        }
-        "distmsm-signed" => {
-            let cfg = DistMsmConfig::builder()
-                .window_size(WINDOW)
-                .signed_digits(true)
-                .build()
-                .unwrap();
-            DistMsm::with_config(MultiGpuSystem::dgx_a100(4), cfg)
-                .execute(&instance)
-                .expect("distmsm-signed");
-        }
+    let distmsm = |builder: DistMsmConfigBuilder| {
+        let cfg = builder.window_size(WINDOW).build().unwrap();
+        DistMsm::with_config(MultiGpuSystem::dgx_a100(4), cfg)
+            .execute(&instance)
+            .expect(scenario);
+    };
+    let run = || match scenario {
+        "distmsm-default" => distmsm(DistMsmConfig::builder()),
+        "distmsm-naive" => distmsm(DistMsmConfig::builder().scatter(ScatterKind::Naive)),
+        "distmsm-signed" => distmsm(DistMsmConfig::builder().signed_digits(true)),
         "cuzk" => {
             cuzk::execute(&instance, &MultiGpuSystem::dgx_a100(2), Some(WINDOW));
         }
@@ -88,10 +62,12 @@ pub fn capture_scenario(scenario: &str, size: usize) -> Vec<LaunchTrace> {
                 .expect("baseline");
         }
         other => panic!("unknown scenario `{other}`"),
-    }
-    let traces = end_capture();
-    drop(guard);
-    traces
+    };
+    let ((), mut captured) = capture::record(|| {
+        capture::collect::<LaunchTrace>();
+        run();
+    });
+    captured.take()
 }
 
 /// Runs every scenario at every size and checks the captured launches.

@@ -3,7 +3,7 @@
 //! Two complementary analyses over the DistMSM reproduction:
 //!
 //! * A **dynamic race detector** ([`race`], driven by [`harness`]): the
-//!   simulator's access-trace hook (`distmsm-gpu-sim`'s `trace` feature)
+//!   simulator's access-trace hook (`distmsm-gpu-sim`'s `telemetry` feature)
 //!   tags every simulated global/shared read, write and atomic with its
 //!   originating device, block, warp and thread plus a synchronisation
 //!   phase; a collapsed vector-clock happens-before checker then reports
@@ -54,7 +54,7 @@
 //!   expiry, double absorb on heal, fence-epoch skip — `PART-900`).
 //!
 //! * A **telemetry checker** ([`tel`]): runs the engine with a live
-//!   `distmsm-telemetry` session and verifies the emitted span timeline
+//!   `distmsm-telemetry` capture and verifies the emitted span timeline
 //!   is well-nested and sum-consistent with the engine's own phase
 //!   report (`TEL-001`), and that the Chrome-trace export round-trips
 //!   through the crate's validator (`TEL-002`, also available against

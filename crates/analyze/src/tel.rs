@@ -20,7 +20,7 @@ use distmsm::engine::{DistMsm, DistMsmConfig, MsmReport};
 use distmsm::report::Report as _;
 use distmsm_ec::{curves::Bn254G1, Curve, MsmInstance};
 use distmsm_gpu_sim::{FaultPlan, MultiGpuSystem};
-use distmsm_telemetry::{parse_json, session, to_chrome_trace, validate_chrome_trace, Timeline};
+use distmsm_telemetry::{parse_json, record, to_chrome_trace, validate_chrome_trace, Timeline};
 use rand::{rngs::StdRng, SeedableRng};
 
 /// Relative tolerance for span-sum vs report-phase comparisons: the
@@ -61,7 +61,7 @@ fn scenario_setup(scenario: &str) -> (MultiGpuSystem, DistMsmConfig) {
     (system, builder.build().expect("scenario config is valid"))
 }
 
-/// Runs one scenario with a live telemetry session and returns the
+/// Runs one scenario under a telemetry capture and returns the
 /// captured timeline with the engine report it must be consistent with.
 ///
 /// # Panics
@@ -69,19 +69,15 @@ fn scenario_setup(scenario: &str) -> (MultiGpuSystem, DistMsmConfig) {
 /// Panics on an unknown scenario or an engine failure (every shipped
 /// scenario is recoverable by construction).
 pub fn run_tel_scenario(scenario: &str) -> (Timeline, MsmReport<Bn254G1>) {
-    let guard = crate::harness::CAPTURE_GUARD
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
     let (system, config) = scenario_setup(scenario);
     let mut rng = StdRng::seed_from_u64(0x7e1e ^ scenario.len() as u64);
     let instance = MsmInstance::<Bn254G1>::random(256, &mut rng);
-    session::begin();
-    let report = DistMsm::with_config(system, config)
-        .execute(&instance)
-        .unwrap_or_else(|e| panic!("{scenario}: engine must succeed, got {e}"));
-    let timeline = session::end();
-    drop(guard);
-    (timeline, report)
+    let (report, captured) = record(|| {
+        DistMsm::with_config(system, config)
+            .execute(&instance)
+            .unwrap_or_else(|e| panic!("{scenario}: engine must succeed, got {e}"))
+    });
+    (captured.timeline, report)
 }
 
 /// Checks one captured timeline against its report (`TEL-001`) and its

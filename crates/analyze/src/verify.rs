@@ -978,6 +978,10 @@ pub fn check_mutants() -> Report {
     let src = format!("let order = std::collections::{}Map::new();\n", "Hash");
     let r = crate::det::lint_source("seeded.rs", &src);
     summarize_mutant(&mut report, "mutant:seeded-hash-iteration", &r);
+    // M8: seeded process-global capture sink (DET-004 must fire).
+    let src = "static TRACES: Mutex<Vec<Trace>> = Mutex::new(Vec::new());\n";
+    let r = crate::det::lint_source("seeded.rs", src);
+    summarize_mutant(&mut report, "mutant:seeded-global-sink", &r);
     report
 }
 
@@ -1133,7 +1137,7 @@ mod tests {
     fn mutant_corpus_meta_check_is_green() {
         let r = check_mutants();
         assert_eq!(r.count(Severity::Error), 0, "{}", r.render_text());
-        // One verdict per mutant: 3 plans + 3 schedules + 1 det.
-        assert_eq!(r.findings.len(), 7);
+        // One verdict per mutant: 3 plans + 3 schedules + 2 det.
+        assert_eq!(r.findings.len(), 8);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! `--analyze` additionally measures the wall-clock overhead of the
 //! simulator's access-trace hooks (meaningful when built with
-//! `--features analyze`; without it the hooks are compiled out).
+//! `--features telemetry`; without it the hooks are compiled out).
 fn main() {
     let analyze = std::env::args().skip(1).any(|a| a == "--analyze");
     let (report, _) = distmsm_bench::runners::run_fig8();

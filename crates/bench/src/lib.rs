@@ -70,9 +70,8 @@ pub fn run_with_telemetry<T>(path: Option<&str>, f: impl FnOnce() -> T) -> T {
     };
     #[cfg(feature = "telemetry")]
     {
-        distmsm_telemetry::session::begin();
-        let out = f();
-        let timeline = distmsm_telemetry::session::end();
+        let (out, captured) = distmsm_telemetry::record(f);
+        let timeline = captured.timeline;
         std::fs::write(path, distmsm_telemetry::to_chrome_trace(&timeline))
             .unwrap_or_else(|e| panic!("cannot write trace to {path}: {e}"));
         println!("{}", distmsm_telemetry::phase_table(&timeline));

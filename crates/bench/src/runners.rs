@@ -860,7 +860,7 @@ pub fn run_ablations() -> String {
 
 /// Opt-in trace-overhead measurement (the fig8 binary's `--analyze` flag):
 /// runs the same multi-GPU MSM repeatedly with trace capture off and — when
-/// this crate is built with the `analyze` feature — again with capture on,
+/// this crate is built with the `telemetry` feature — again with capture on,
 /// reporting the wall-clock delta the access-trace hooks cost.
 ///
 /// Built *without* the feature (the default for every bench target), the
@@ -882,13 +882,17 @@ pub fn run_trace_overhead(n: usize, reps: usize) -> String {
     run_all();
     let off = t0.elapsed();
 
-    #[cfg(feature = "analyze")]
+    #[cfg(feature = "telemetry")]
     {
-        distmsm_gpu_sim::trace::begin_capture();
-        let t1 = Instant::now(); // det-ok: harness measures real host time
-        run_all();
-        let on = t1.elapsed();
-        let traces = distmsm_gpu_sim::trace::end_capture();
+        use distmsm_gpu_sim::trace::LaunchTrace;
+        use distmsm_telemetry::capture;
+        let (on, mut captured) = capture::record(|| {
+            capture::collect::<LaunchTrace>();
+            let t1 = Instant::now(); // det-ok: harness measures real host time
+            run_all();
+            t1.elapsed()
+        });
+        let traces = captured.take::<LaunchTrace>();
         let accesses: usize = traces.iter().map(|t| t.accesses.len()).sum();
         out.push_str(&format!(
             "  capture off: {off:.2?} (hooks compiled in, capture disabled)\n  capture on:  {on:.2?} ({} launches, {accesses} accesses recorded)\n  capture overhead: {:+.1}%\n",
@@ -896,9 +900,9 @@ pub fn run_trace_overhead(n: usize, reps: usize) -> String {
             (on.as_secs_f64() / off.as_secs_f64() - 1.0) * 100.0,
         ));
     }
-    #[cfg(not(feature = "analyze"))]
+    #[cfg(not(feature = "telemetry"))]
     out.push_str(&format!(
-        "  hooks compiled out: {off:.2?}\n  (rebuild with `--features analyze` to measure capture overhead)\n"
+        "  hooks compiled out: {off:.2?}\n  (rebuild with `--features telemetry` to measure capture overhead)\n"
     ));
     out
 }

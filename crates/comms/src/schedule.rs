@@ -371,11 +371,11 @@ impl CommSchedule {
 }
 
 /// Feature-gated emission of a finalized schedule onto the fabric lane
-/// of the active `distmsm-telemetry` session.
+/// of the calling thread's `distmsm-telemetry` capture.
 #[cfg(feature = "telemetry")]
 pub mod telemetry {
     use super::{CommSchedule, Endpoint};
-    use distmsm_telemetry::{session, Lane, Span};
+    use distmsm_telemetry::{capture, Lane, Span};
 
     fn endpoint_name(e: Endpoint) -> String {
         match e {
@@ -390,13 +390,13 @@ pub mod telemetry {
     /// [`CommSchedule::step_s`], so children sum exactly to
     /// [`CommSchedule::total_s`]), a cumulative `fabric-bytes` counter
     /// sample at each step boundary, and a `flow-bytes` histogram
-    /// entry per flow. No-op when no session is active or the schedule
+    /// entry per flow. No-op when no capture is active or the schedule
     /// was never finalized.
     pub fn emit_schedule(sched: &CommSchedule, t0_s: f64) {
-        if !session::active() || sched.step_s.len() != sched.steps.len() {
+        if !capture::active() || sched.step_s.len() != sched.steps.len() {
             return;
         }
-        session::push_span(Span {
+        capture::push_span(Span {
             name: format!("{}({} ranks)", sched.strategy, sched.n_ranks),
             cat: "collective".into(),
             lane: Lane::Fabric,
@@ -430,7 +430,7 @@ pub mod telemetry {
                     ),
                 ));
             }
-            session::push_span(Span {
+            capture::push_span(Span {
                 name: format!("step{}/{}", i, sched.steps.len()),
                 cat: "transfer".into(),
                 lane: Lane::Fabric,
@@ -439,89 +439,36 @@ pub mod telemetry {
                 args,
             });
             cursor += dur;
-            session::push_counter(distmsm_telemetry::CounterSample {
+            capture::push_counter(distmsm_telemetry::CounterSample {
                 name: "fabric-bytes".into(),
                 lane: Lane::Fabric,
                 t_s: cursor,
                 value: cum_bytes,
             });
             for f in &step.flows {
-                session::record_histogram("flow-bytes", f.bytes);
+                capture::record_histogram("flow-bytes", f.bytes);
             }
         }
     }
 }
 
-/// Feature-gated process-global schedule collector, mirroring the
-/// `distmsm-gpu-sim` trace stream: `distmsm-analyze` turns capture on,
-/// runs a workload, and replays the recorded schedules against its
-/// comm-schedule rules. With the `trace` feature off every hook is an
-/// inline no-op.
+/// Feature-gated schedule stream: with the `telemetry` feature on, every
+/// finalized schedule is submitted to the calling thread's
+/// `distmsm-telemetry` capture when it collects schedules
+/// (`capture::collect::<CommSchedule>()`); `distmsm-analyze` takes them
+/// (`Capture::take::<CommSchedule>()`) and replays them against its
+/// comm-schedule rules. With the feature off the hook is an inline no-op.
 pub mod trace {
     use super::CommSchedule;
 
-    #[cfg(feature = "trace")]
-    mod imp {
-        use super::CommSchedule;
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Mutex;
-
-        static CAPTURING: AtomicBool = AtomicBool::new(false);
-        static SCHEDULES: Mutex<Vec<CommSchedule>> = Mutex::new(Vec::new());
-
-        // A panicking workload thread must not wedge the collector:
-        // recover the (plain-Vec) state from a poisoned lock.
-        fn schedules() -> std::sync::MutexGuard<'static, Vec<CommSchedule>> {
-            SCHEDULES.lock().unwrap_or_else(|e| e.into_inner())
-        }
-
-        pub fn begin_capture() {
-            schedules().clear();
-            CAPTURING.store(true, Ordering::SeqCst);
-        }
-
-        pub fn end_capture() -> Vec<CommSchedule> {
-            CAPTURING.store(false, Ordering::SeqCst);
-            std::mem::take(&mut *schedules())
-        }
-
-        pub fn capturing() -> bool {
-            CAPTURING.load(Ordering::SeqCst)
-        }
-
-        pub fn submit(s: &CommSchedule) {
-            if capturing() {
-                schedules().push(s.clone());
-            }
-        }
-    }
-
-    /// Starts recording every finalized schedule process-wide.
-    #[cfg(feature = "trace")]
-    pub fn begin_capture() {
-        imp::begin_capture();
-    }
-
-    /// Stops recording and returns the captured schedules.
-    #[cfg(feature = "trace")]
-    pub fn end_capture() -> Vec<CommSchedule> {
-        imp::end_capture()
-    }
-
-    /// Whether capture is currently active.
-    #[cfg(feature = "trace")]
-    pub fn capturing() -> bool {
-        imp::capturing()
-    }
-
-    /// Records `s` if capture is active; no-op otherwise.
-    #[cfg(feature = "trace")]
+    /// Records `s` if the thread's capture collects schedules; no-op otherwise.
+    #[cfg(feature = "telemetry")]
     pub fn maybe_submit(s: &CommSchedule) {
-        imp::submit(s);
+        distmsm_telemetry::capture::submit(|_| s.clone());
     }
 
-    /// Records `s` if capture is active; no-op otherwise.
-    #[cfg(not(feature = "trace"))]
+    /// Records `s` if the thread's capture collects schedules; no-op otherwise.
+    #[cfg(not(feature = "telemetry"))]
     #[inline(always)]
     pub fn maybe_submit(_s: &CommSchedule) {}
 }

@@ -3,13 +3,14 @@
 //! reduction.
 
 use distmsm_ec::{Affine, Curve, XyzzPoint};
+#[cfg(feature = "telemetry")]
 use distmsm_gpu_sim::trace::LaunchRecorder;
 use distmsm_gpu_sim::LaunchStats;
 use distmsm_kernel::ir::PlanIr;
 use distmsm_kernel::EcKernelModel;
 
 /// Trace address namespaces (see `distmsm_gpu_sim::trace`).
-#[cfg(feature = "trace")]
+#[cfg(feature = "telemetry")]
 mod addr {
     /// Global: affine point array, indexed by point.
     pub const POINT: u64 = 0x1000_0000_0000;
@@ -29,7 +30,7 @@ mod addr {
 /// from the writes it consumes. When a bucket's lanes straddle a block
 /// boundary, per-block segment leaders publish their partial globally and
 /// the combine crosses a grid sync, mirroring a cooperative-groups launch.
-#[cfg(feature = "trace")]
+#[cfg(feature = "telemetry")]
 fn emit_bucket_sum_trace(
     rec: &mut LaunchRecorder,
     buckets: &[Vec<u32>],
@@ -190,14 +191,11 @@ pub fn bucket_sum<C: Curve>(
     stats.max_thread = max_thread;
     stats.total = total;
 
-    let rec = LaunchRecorder::start("bucket-sum", 0);
-    #[cfg(feature = "trace")]
-    let mut rec = rec;
-    #[cfg(feature = "trace")]
-    if rec.active() {
+    #[cfg(feature = "telemetry")]
+    if let Some(mut rec) = LaunchRecorder::start("bucket-sum", 0) {
         emit_bucket_sum_trace(&mut rec, buckets, tpb, block_size);
+        rec.commit();
     }
-    rec.commit();
 
     BucketSumOutcome { sums, stats }
 }
@@ -240,14 +238,11 @@ pub fn bucket_sum_signed<C: Curve>(
     out.max_thread.global_bytes += per_thread_paccs * (2.0 * model.limbs32() as f64 * 4.0);
     out.max_thread.barriers += reduce_steps;
 
-    let rec = LaunchRecorder::start("bucket-sum", 0);
-    #[cfg(feature = "trace")]
-    let mut rec = rec;
-    #[cfg(feature = "trace")]
-    if rec.active() {
+    #[cfg(feature = "telemetry")]
+    if let Some(mut rec) = LaunchRecorder::start("bucket-sum", 0) {
         emit_bucket_sum_trace(&mut rec, buckets, tpb, block_size);
+        rec.commit();
     }
-    rec.commit();
 
     BucketSumOutcome {
         sums,

@@ -15,6 +15,7 @@ use crate::bucket_sum::{bucket_sum, threads_per_bucket};
 use crate::plan::Slice;
 use crate::reduce::{bucket_reduce_gpu_stats, bucket_reduce_serial, window_reduce};
 use distmsm_ec::{Curve, FieldElement, MsmInstance, Scalar, XyzzPoint};
+#[cfg(feature = "telemetry")]
 use distmsm_gpu_sim::trace::LaunchRecorder;
 use distmsm_gpu_sim::{
     estimate_kernel_time, CostModelConfig, KernelProfile, LaunchStats, MultiGpuSystem, ThreadCost,
@@ -23,7 +24,7 @@ use distmsm_kernel::ir::{IndexExpr, PlanIr, Poly, Region, RegionFamily, SymBound
 use distmsm_kernel::{EcKernelModel, PaddOptimizations};
 
 /// Trace address namespaces (see `distmsm_gpu_sim::trace`).
-#[cfg(feature = "trace")]
+#[cfg(feature = "telemetry")]
 mod addr {
     /// Global: packed scalar-chunk array, indexed by point.
     pub const SCAL: u64 = 0x1000_0000_0000;
@@ -42,7 +43,7 @@ mod addr {
 /// scalars and writes each point into its claimed (unique) transposed
 /// cell. Passes are separated by grid syncs, which is the only reason the
 /// cross-thread histogram/offset reads are ordered.
-#[cfg(feature = "trace")]
+#[cfg(feature = "telemetry")]
 fn emit_transpose_trace<S: Scalar>(
     rec: &mut LaunchRecorder,
     scalars: &[S],
@@ -165,14 +166,11 @@ pub fn transpose_window<S: Scalar>(
     };
     stats.total = stats.max_thread.scale(threads as f64);
 
-    let rec = LaunchRecorder::start("cuzk-transpose", 0);
-    #[cfg(feature = "trace")]
-    let mut rec = rec;
-    #[cfg(feature = "trace")]
-    if rec.active() {
+    #[cfg(feature = "telemetry")]
+    if let Some(mut rec) = LaunchRecorder::start("cuzk-transpose", 0) {
         emit_transpose_trace(&mut rec, scalars, s, window, threads);
+        rec.commit();
     }
-    rec.commit();
 
     (buckets, stats)
 }

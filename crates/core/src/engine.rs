@@ -856,8 +856,8 @@ impl DistMsm {
         Ok(report)
     }
 
-    /// Lays the just-composed report out on the telemetry session's
-    /// timeline, then advances the session clock by `total_s` so
+    /// Lays the just-composed report out on the telemetry capture's
+    /// timeline, then advances the capture's clock by `total_s` so
     /// sequential MSMs line up end to end.
     ///
     /// The layout mirrors the timing composition above exactly — each
@@ -876,11 +876,11 @@ impl DistMsm {
         ph: &TelemetryPhases<'_>,
     ) {
         use distmsm_gpu_sim::telemetry::{device_span, fault_instant, kernel_span};
-        use distmsm_telemetry::{session, Instant, Lane, Span};
-        if !session::active() {
+        use distmsm_telemetry::{capture, Instant, Lane, Span};
+        if !capture::active() {
             return;
         }
-        let t0 = session::clock_s();
+        let t0 = capture::clock_s();
         let n_gpus = ph.scatter_per_gpu.len();
         let plan = &self.config.fault_plan;
         let straggle = |g: usize, e: u64| -> f64 {
@@ -891,6 +891,19 @@ impl DistMsm {
             straggle(oc.slice.gpu, oc.event)
                 * estimate_kernel_time(&self.system.devices[oc.slice.gpu], stats, &self.cost_cfg)
                     .total()
+        };
+        // a host-lane span of `dur` seconds from `t`, skipped when empty
+        let host_span = |name: &str, cat: &str, t: f64, dur: f64| {
+            if dur > 0.0 {
+                capture::push_span(Span {
+                    name: name.into(),
+                    cat: cat.into(),
+                    lane: Lane::Host,
+                    t0_s: t,
+                    t1_s: t + dur,
+                    args: Vec::new(),
+                });
+            }
         };
 
         // ---- device lanes: structural phase containers with kernel
@@ -955,39 +968,13 @@ impl DistMsm {
             if self.config.pipelined {
                 // §3.2.3: the reduce streams behind the GPUs from t0;
                 // only the last window's tail follows the transfer
-                if ph.cpu_reduce_s > 0.0 {
-                    session::push_span(Span {
-                        name: "bucket-reduce(cpu,pipelined)".into(),
-                        cat: "bucket-reduce".into(),
-                        lane: Lane::Host,
-                        t0_s: t0,
-                        t1_s: t0 + ph.cpu_reduce_s,
-                        args: Vec::new(),
-                    });
-                }
+                host_span("bucket-reduce(cpu,pipelined)", "bucket-reduce", t0, ph.cpu_reduce_s);
                 let tail = ph.cpu_reduce_s / f64::from(report.n_windows.max(1));
-                if tail > 0.0 {
-                    session::push_span(Span {
-                        name: "pipeline-tail".into(),
-                        cat: "pipeline-tail".into(),
-                        lane: Lane::Host,
-                        t0_s: fabric_t0 + transfer_s,
-                        t1_s: fabric_t0 + transfer_s + tail,
-                        args: Vec::new(),
-                    });
-                }
+                host_span("pipeline-tail", "pipeline-tail", fabric_t0 + transfer_s, tail);
                 fabric_t0 + transfer_s + tail
             } else {
-                if ph.cpu_reduce_s > 0.0 {
-                    session::push_span(Span {
-                        name: "bucket-reduce(cpu)".into(),
-                        cat: "bucket-reduce".into(),
-                        lane: Lane::Host,
-                        t0_s: fabric_t0 + transfer_s,
-                        t1_s: fabric_t0 + transfer_s + ph.cpu_reduce_s,
-                        args: Vec::new(),
-                    });
-                }
+                let t = fabric_t0 + transfer_s;
+                host_span("bucket-reduce(cpu)", "bucket-reduce", t, ph.cpu_reduce_s);
                 fabric_t0 + transfer_s + ph.cpu_reduce_s
             }
         } else {
@@ -1006,28 +993,10 @@ impl DistMsm {
                     );
                 }
             }
-            if ph.comm_host_s > 0.0 {
-                session::push_span(Span {
-                    name: "host-combine".into(),
-                    cat: "bucket-reduce".into(),
-                    lane: Lane::Host,
-                    t0_s: gr_t0 + max_gr,
-                    t1_s: gr_t0 + max_gr + ph.comm_host_s,
-                    args: Vec::new(),
-                });
-            }
+            host_span("host-combine", "bucket-reduce", gr_t0 + max_gr, ph.comm_host_s);
             gr_t0 + max_gr + ph.comm_host_s
         };
-        if report.phases.window_reduce_s > 0.0 {
-            session::push_span(Span {
-                name: "window-reduce".into(),
-                cat: "window-reduce".into(),
-                lane: Lane::Host,
-                t0_s: wr_t0,
-                t1_s: wr_t0 + report.phases.window_reduce_s,
-                args: Vec::new(),
-            });
-        }
+        host_span("window-reduce", "window-reduce", wr_t0, report.phases.window_reduce_s);
 
         // ---- supervisor + recovery tail ----
         if let Some(rec) = &report.recovery {
@@ -1036,7 +1005,7 @@ impl DistMsm {
                 fault_instant(ev, rec_t0);
             }
             for f in rec.faults.iter().filter(|f| f.kind == "link-down") {
-                session::push_instant(Instant {
+                capture::push_instant(Instant {
                     name: "fault:link-down".into(),
                     cat: "fault".into(),
                     lane: Lane::Device(f.device),
@@ -1045,7 +1014,7 @@ impl DistMsm {
                 });
             }
             if !rec.replanned.is_empty() {
-                session::push_instant(Instant {
+                capture::push_instant(Instant {
                     name: "re-plan".into(),
                     cat: "supervisor".into(),
                     lane: Lane::Supervisor,
@@ -1057,7 +1026,7 @@ impl DistMsm {
                 });
             }
             if rec.degraded_collective {
-                session::push_instant(Instant {
+                capture::push_instant(Instant {
                     name: "route-degraded".into(),
                     cat: "supervisor".into(),
                     lane: Lane::Fabric,
@@ -1069,7 +1038,7 @@ impl DistMsm {
                 });
             }
             if rec.backoff_s > 0.0 {
-                session::push_span(Span {
+                capture::push_span(Span {
                     name: "retry-backoff".into(),
                     cat: "recovery".into(),
                     lane: Lane::Supervisor,
@@ -1091,32 +1060,15 @@ impl DistMsm {
                 }
             }
             let check_t0 = recompute_t0 + rec.recompute_s;
-            if rec.self_check_s > 0.0 {
-                session::push_span(Span {
-                    name: "self-check(rlc)".into(),
-                    cat: "recovery".into(),
-                    lane: Lane::Host,
-                    t0_s: check_t0,
-                    t1_s: check_t0 + rec.self_check_s,
-                    args: Vec::new(),
-                });
-            }
-            if rec.checkpoint_s > 0.0 {
-                session::push_span(Span {
-                    name: "checkpoint".into(),
-                    cat: "recovery".into(),
-                    lane: Lane::Host,
-                    t0_s: check_t0 + rec.self_check_s,
-                    t1_s: check_t0 + rec.self_check_s + rec.checkpoint_s,
-                    args: Vec::new(),
-                });
-            }
+            host_span("self-check(rlc)", "recovery", check_t0, rec.self_check_s);
+            let ckpt_t0 = check_t0 + rec.self_check_s;
+            host_span("checkpoint", "recovery", ckpt_t0, rec.checkpoint_s);
             // recovered slices are re-run inside the recompute segments;
             // annotate them without separate spans (they'd double-count)
             let _ = recovered;
         }
 
-        session::advance_s(report.total_s);
+        capture::advance_s(report.total_s);
     }
 
     /// Records fail-stop observations for devices that just lost jobs
@@ -1264,6 +1216,15 @@ impl DistMsm {
             // one worker: run on the calling thread instead of spawning
             run_chunk(jobs, &mut outcomes);
         } else {
+            // workers join the caller's telemetry capture, if any
+            #[cfg(feature = "telemetry")]
+            let capture = distmsm_telemetry::capture::current();
+            #[cfg(feature = "telemetry")]
+            let run_chunk = |job_chunk: &[(Slice, u64)], out_chunk: &mut [Option<_>]| {
+                distmsm_telemetry::capture::enter(capture.clone(), || {
+                    run_chunk(job_chunk, out_chunk)
+                })
+            };
             std::thread::scope(|scope| {
                 for (job_chunk, out_chunk) in jobs.chunks(chunk).zip(outcomes.chunks_mut(chunk)) {
                     scope.spawn(move || run_chunk(job_chunk, out_chunk));

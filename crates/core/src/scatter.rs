@@ -11,6 +11,7 @@
 
 use crate::plan::Slice;
 use distmsm_ec::Scalar;
+#[cfg(feature = "telemetry")]
 use distmsm_gpu_sim::trace::LaunchRecorder;
 use distmsm_gpu_sim::{KernelProfile, LaunchStats, ThreadCost};
 use distmsm_kernel::ir::{self, IndexExpr, PlanIr, Poly, Region, RegionFamily, SymBound};
@@ -18,7 +19,7 @@ use distmsm_kernel::ir::{self, IndexExpr, PlanIr, Poly, Region, RegionFamily, Sy
 /// Simulated address namespaces for the access trace (see
 /// `distmsm_gpu_sim::trace`). Each launch gets its own trace, so bases only
 /// need to be distinct *within* one kernel.
-#[cfg(feature = "trace")]
+#[cfg(feature = "telemetry")]
 mod addr {
     /// Global: packed per-window coefficient array, indexed by point.
     pub const COEFF: u64 = 0x1000_0000_0000;
@@ -38,7 +39,7 @@ mod addr {
 /// payload slot is the point's final position in its bucket, i.e. the
 /// location the claimed cursor value denotes; slots are therefore unique
 /// and the only cross-thread collisions are the (atomic) cursor bumps.
-#[cfg(feature = "trace")]
+#[cfg(feature = "telemetry")]
 fn emit_naive_trace(
     rec: &mut LaunchRecorder,
     n_points: usize,
@@ -80,7 +81,7 @@ fn emit_naive_trace(
 /// commit phase issues one global cursor atomic per non-empty local bucket
 /// and writes the claimed (disjoint) payload range. `contrib(i)` returns
 /// the slice-local bucket of point `i`, or `None` when it lands outside.
-#[cfg(feature = "trace")]
+#[cfg(feature = "telemetry")]
 fn emit_hierarchical_trace(
     rec: &mut LaunchRecorder,
     n_points: usize,
@@ -241,16 +242,13 @@ pub fn scatter_naive<S: Scalar>(
     let stats =
         naive_scatter_stats(scalars.len() as u64, inserts, slice.len(), gpu_threads, coeff_bytes);
 
-    let rec = LaunchRecorder::start("scatter-naive", slice.gpu as u16);
-    #[cfg(feature = "trace")]
-    let mut rec = rec;
-    #[cfg(feature = "trace")]
-    if rec.active() {
+    #[cfg(feature = "telemetry")]
+    if let Some(mut rec) = LaunchRecorder::start("scatter-naive", slice.gpu as u16) {
         let per_thread = (scalars.len() as u64).div_ceil(stats.threads);
         emit_naive_trace(&mut rec, scalars.len(), per_thread, &buckets, slice.bucket_lo);
         rec.note_metered_atomics(stats.distinct_atomic_addrs);
+        rec.commit();
     }
-    rec.commit();
 
     ScatterOutcome { buckets, stats }
 }
@@ -357,19 +355,16 @@ pub fn scatter_hierarchical<S: Scalar>(
         coeff_bytes,
     );
 
-    let rec = LaunchRecorder::start("scatter-hierarchical", slice.gpu as u16);
-    #[cfg(feature = "trace")]
-    let mut rec = rec;
-    #[cfg(feature = "trace")]
-    if rec.active() {
+    #[cfg(feature = "telemetry")]
+    if let Some(mut rec) = LaunchRecorder::start("scatter-hierarchical", slice.gpu as u16) {
         emit_hierarchical_trace(&mut rec, scalars.len(), range, slice.bucket_lo, cfg, |i| {
             let b = bucket_of(&scalars[i], slice.window, s);
             (b != 0 && b >= u64::from(slice.bucket_lo) && b < u64::from(slice.bucket_hi))
                 .then(|| (b - u64::from(slice.bucket_lo)) as usize)
         });
         rec.note_metered_atomics(stats.distinct_atomic_addrs);
+        rec.commit();
     }
-    rec.commit();
 
     Ok(ScatterOutcome { buckets, stats })
 }
@@ -470,11 +465,8 @@ pub fn scatter_signed_digits(
         }
     };
 
-    let rec = LaunchRecorder::start(stats.profile.name, slice.gpu as u16);
-    #[cfg(feature = "trace")]
-    let mut rec = rec;
-    #[cfg(feature = "trace")]
-    if rec.active() {
+    #[cfg(feature = "telemetry")]
+    if let Some(mut rec) = LaunchRecorder::start(stats.profile.name, slice.gpu as u16) {
         match kind {
             ScatterKind::Naive => {
                 let per_thread = (digits.len() as u64).div_ceil(stats.threads);
@@ -490,8 +482,8 @@ pub fn scatter_signed_digits(
             }
         }
         rec.note_metered_atomics(stats.distinct_atomic_addrs);
+        rec.commit();
     }
-    rec.commit();
 
     Ok(ScatterOutcome { buckets, stats })
 }

@@ -1116,21 +1116,17 @@ impl<C: Curve> FleetCoordinator<C> {
     }
 
     /// Emits a telemetry instant on the `fleet` lane (no-op unless the
-    /// `telemetry` feature is on and a session is active).
+    /// `telemetry` feature is on and a capture is active).
     #[allow(unused_variables)]
     fn instant(&self, t_s: f64, name: &str, args: Vec<(String, String)>) {
         #[cfg(feature = "telemetry")]
-        {
-            if distmsm_telemetry::session::active() {
-                distmsm_telemetry::session::push_instant(distmsm_telemetry::Instant {
-                    name: name.to_string(),
-                    cat: "fleet".to_string(),
-                    lane: distmsm_telemetry::Lane::Fleet,
-                    t_s,
-                    args,
-                });
-            }
-        }
+        distmsm_telemetry::capture::push_instant(distmsm_telemetry::Instant {
+            name: name.to_string(),
+            cat: "fleet".to_string(),
+            lane: distmsm_telemetry::Lane::Fleet,
+            t_s,
+            args,
+        });
     }
 }
 

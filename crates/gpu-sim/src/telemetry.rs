@@ -1,5 +1,5 @@
-//! Feature-gated emission helpers targeting the `distmsm-telemetry`
-//! session.
+//! Feature-gated emission helpers targeting the calling thread's
+//! `distmsm-telemetry` capture.
 //!
 //! The engine crate drives the timeline layout (it knows phase start
 //! times); these helpers wrap the per-launch and per-fault details that
@@ -9,17 +9,17 @@
 
 use crate::cost::LaunchStats;
 use crate::fault::FaultEvent;
-use distmsm_telemetry::{session, Instant, Lane, Span};
+use distmsm_telemetry::{capture, Instant, Lane, Span};
 
 /// Emits one kernel launch as a Device-lane span `[t0_s, t1_s]` with the
 /// launch statistics attached as span arguments, and records its
-/// duration in the `kernel-dur-us` histogram. No-op when no session is
+/// duration in the `kernel-dur-us` histogram. No-op when no capture is
 /// active.
 pub fn kernel_span(device: usize, name: &str, cat: &str, t0_s: f64, t1_s: f64, stats: &LaunchStats) {
-    if !session::active() {
+    if !capture::active() {
         return;
     }
-    session::push_span(Span {
+    capture::push_span(Span {
         name: name.to_string(),
         cat: cat.to_string(),
         lane: Lane::Device(device),
@@ -51,9 +51,9 @@ pub fn kernel_span(device: usize, name: &str, cat: &str, t0_s: f64, t1_s: f64, s
             ),
         ],
     });
-    session::record_histogram("kernel-dur-us", (t1_s - t0_s) * 1e6);
+    capture::record_histogram("kernel-dur-us", (t1_s - t0_s) * 1e6);
     if stats.total.global_atomics > 0.0 {
-        session::push_counter(distmsm_telemetry::CounterSample {
+        capture::push_counter(distmsm_telemetry::CounterSample {
             name: "global-atomics".into(),
             lane: Lane::Device(device),
             t_s: t1_s,
@@ -64,12 +64,12 @@ pub fn kernel_span(device: usize, name: &str, cat: &str, t0_s: f64, t1_s: f64, s
 
 /// Emits a plain Device-lane span without launch statistics (scatter
 /// prepass, bucket-reduce slices and recovery recompute segments carry
-/// timing but no [`LaunchStats`]). No-op when no session is active.
+/// timing but no [`LaunchStats`]). No-op when no capture is active.
 pub fn device_span(device: usize, name: &str, cat: &str, t0_s: f64, t1_s: f64) {
-    if !session::active() {
+    if !capture::active() {
         return;
     }
-    session::push_span(Span {
+    capture::push_span(Span {
         name: name.to_string(),
         cat: cat.to_string(),
         lane: Lane::Device(device),
@@ -80,13 +80,13 @@ pub fn device_span(device: usize, name: &str, cat: &str, t0_s: f64, t1_s: f64) {
 }
 
 /// Emits a fault instant marker on the struck device's lane, labelled
-/// with the fault taxonomy's stable kind label. No-op when no session is
+/// with the fault taxonomy's stable kind label. No-op when no capture is
 /// active.
 pub fn fault_instant(event: &FaultEvent, t_s: f64) {
-    if !session::active() {
+    if !capture::active() {
         return;
     }
-    session::push_instant(Instant {
+    capture::push_instant(Instant {
         name: format!("fault:{}", event.kind.label()),
         cat: "fault".into(),
         lane: Lane::Device(event.device),

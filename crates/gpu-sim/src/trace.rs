@@ -2,7 +2,7 @@
 //!
 //! The functional kernel implementations (in the `distmsm` crate) *meter*
 //! atomics, barriers and bytes for the cost model — but metering proves
-//! nothing about correctness. When the `trace` cargo feature is enabled,
+//! nothing about correctness. When the `telemetry` cargo feature is enabled,
 //! kernels additionally *emit* every simulated global/shared read, write
 //! and atomic, tagged with the issuing [`SimThread`] (device, block, warp,
 //! thread) and its synchronisation **phase**, plus the block-barrier and
@@ -18,15 +18,20 @@
 //! its thread has already passed. Within a block, an access at phase `p`
 //! happens-before every access at phase `> p` by another thread of the
 //! same block; across blocks, ordering exists only through a grid sync
-//! (recorded via [`LaunchRecorder::grid_sync_at`]). This is exactly the
+//! (recorded via `LaunchRecorder::grid_sync_at`). This is exactly the
 //! information a vector clock needs for barrier-only synchronisation.
 //!
 //! # Cost
 //!
-//! With the feature **off**, every hook is an inline empty function and
-//! [`LaunchRecorder`] is a zero-sized type: the instrumentation compiles
-//! to nothing. With the feature **on** but capture disabled (the default),
-//! each hook is a single branch on an `Option` discriminant.
+//! With the feature **off**, `LaunchRecorder` does not exist and the
+//! instrumented kernels compile their trace emission out. With the
+//! feature **on**, `LaunchRecorder::start` opens a recorder only while
+//! its thread records into a `distmsm_telemetry::capture` that collects
+//! launch traces (`capture::collect::<LaunchTrace>()`, read back with
+//! `Capture::take::<LaunchTrace>()`).
+
+#[cfg(feature = "telemetry")]
+use distmsm_telemetry::capture;
 
 /// Identity of one simulated GPU thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -112,7 +117,7 @@ pub struct BlockBarriers {
 pub struct LaunchTrace {
     /// Kernel name (matches the launch's `KernelProfile::name`).
     pub kernel: String,
-    /// Monotone launch sequence number (process-wide).
+    /// Launch number within its capture: commit order, counting from 0.
     pub launch: u64,
     /// Every traced access, in emission order.
     pub accesses: Vec<Access>,
@@ -128,120 +133,32 @@ pub struct LaunchTrace {
     pub metered_atomic_addrs: Option<u64>,
 }
 
-#[cfg(feature = "trace")]
-mod imp {
-    use super::LaunchTrace;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Mutex;
-
-    pub(super) static CAPTURING: AtomicBool = AtomicBool::new(false);
-    pub(super) static LAUNCH_SEQ: AtomicU64 = AtomicU64::new(0);
-    pub(super) static TRACES: Mutex<Vec<LaunchTrace>> = Mutex::new(Vec::new());
-
-    pub(super) fn capturing() -> bool {
-        CAPTURING.load(Ordering::Relaxed)
-    }
-
-    pub(super) fn next_launch() -> u64 {
-        LAUNCH_SEQ.fetch_add(1, Ordering::Relaxed)
-    }
-
-    // A panicking workload thread must not wedge the collector: recover
-    // the (plain-Vec) state from a poisoned lock.
-    pub(super) fn traces() -> std::sync::MutexGuard<'static, Vec<LaunchTrace>> {
-        TRACES.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub(super) fn submit(trace: LaunchTrace) {
-        traces().push(trace);
-    }
-}
-
-/// Starts capturing launch traces (process-wide). No-op without the
-/// `trace` feature.
-pub fn begin_capture() {
-    #[cfg(feature = "trace")]
-    {
-        imp::traces().clear();
-        imp::CAPTURING.store(true, std::sync::atomic::Ordering::SeqCst);
-    }
-}
-
-/// Stops capturing and returns every launch trace recorded since
-/// [`begin_capture`]. Always empty without the `trace` feature.
-pub fn end_capture() -> Vec<LaunchTrace> {
-    #[cfg(feature = "trace")]
-    {
-        imp::CAPTURING.store(false, std::sync::atomic::Ordering::SeqCst);
-        return std::mem::take(&mut *imp::traces());
-    }
-    #[cfg(not(feature = "trace"))]
-    Vec::new()
-}
-
-/// True while a capture is in progress.
-pub fn capturing() -> bool {
-    #[cfg(feature = "trace")]
-    {
-        imp::capturing()
-    }
-    #[cfg(not(feature = "trace"))]
-    false
-}
-
 /// Per-launch trace emitter held by an instrumented kernel.
 ///
 /// Buffers events locally (kernels run on concurrent host threads) and
-/// publishes the finished [`LaunchTrace`] to the process-wide collector on
-/// [`commit`](Self::commit). All methods are inline no-ops when the
-/// `trace` feature is off, and a single branch when capture is inactive.
-#[derive(Debug, Default)]
+/// publishes the finished [`LaunchTrace`] to the calling thread's capture
+/// on [`commit`](Self::commit).
+#[cfg(feature = "telemetry")]
+#[derive(Debug)]
 pub struct LaunchRecorder {
-    #[cfg(feature = "trace")]
-    inner: Option<Box<LaunchTrace>>,
-    #[cfg(feature = "trace")]
+    trace: LaunchTrace,
     device: u16,
 }
 
+#[cfg(feature = "telemetry")]
 impl LaunchRecorder {
-    /// Opens a recorder for one kernel launch on `device`. Returns an
-    /// inactive recorder when capture is off.
+    /// Opens a recorder for one kernel launch on `device`, or `None`
+    /// unless the thread's capture collects [`LaunchTrace`]s — so an
+    /// instrumented kernel skips its address computation.
     #[inline]
-    pub fn start(kernel: &str, device: u16) -> Self {
-        #[cfg(feature = "trace")]
-        {
-            if imp::capturing() {
-                return Self {
-                    inner: Some(Box::new(LaunchTrace {
-                        kernel: kernel.to_owned(),
-                        launch: imp::next_launch(),
-                        ..LaunchTrace::default()
-                    })),
-                    device,
-                };
-            }
-            Self {
-                inner: None,
-                device,
-            }
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (kernel, device);
-            Self {}
-        }
-    }
-
-    /// True when this recorder is collecting events. Use to skip
-    /// address-computation work in instrumented kernels.
-    #[inline]
-    pub fn active(&self) -> bool {
-        #[cfg(feature = "trace")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "trace"))]
-        false
+    pub fn start(kernel: &str, device: u16) -> Option<Self> {
+        capture::collecting::<LaunchTrace>().then(|| Self {
+            trace: LaunchTrace {
+                kernel: kernel.to_owned(),
+                ..LaunchTrace::default()
+            },
+            device,
+        })
     }
 
     /// Records one access by `(block, thread)` at `phase`.
@@ -255,136 +172,92 @@ impl LaunchRecorder {
         kind: AccessKind,
         addr: u64,
     ) {
-        #[cfg(feature = "trace")]
-        if let Some(t) = &mut self.inner {
-            t.accesses.push(Access {
-                thread: SimThread {
-                    device: self.device,
-                    block,
-                    thread,
-                },
-                phase,
-                space,
-                kind,
-                addr,
-            });
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (block, thread, phase, space, kind, addr);
-        }
+        self.trace.accesses.push(Access {
+            thread: SimThread {
+                device: self.device,
+                block,
+                thread,
+            },
+            phase,
+            space,
+            kind,
+            addr,
+        });
     }
 
     /// Declares that all `threads` threads of `block` arrive at `count`
     /// block barriers.
     #[inline]
     pub fn block_barriers(&mut self, block: u32, threads: u32, count: u32) {
-        #[cfg(feature = "trace")]
-        if let Some(t) = &mut self.inner {
-            t.barriers.push(BlockBarriers {
-                block,
-                threads,
-                count,
-            });
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (block, threads, count);
-        }
+        self.trace.barriers.push(BlockBarriers {
+            block,
+            threads,
+            count,
+        });
     }
 
     /// Overrides the barrier count of a single thread (for modelling
     /// divergent kernels in fixtures).
     #[inline]
     pub fn thread_barriers(&mut self, block: u32, thread: u32, count: u32) {
-        #[cfg(feature = "trace")]
-        if let Some(t) = &mut self.inner {
-            t.thread_barriers.push((
-                SimThread {
-                    device: self.device,
-                    block,
-                    thread,
-                },
-                count,
-            ));
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = (block, thread, count);
-        }
+        let thread = SimThread {
+            device: self.device,
+            block,
+            thread,
+        };
+        self.trace.thread_barriers.push((thread, count));
     }
 
     /// Declares the `phase → phase+1` transition as a grid-wide sync.
     #[inline]
     pub fn grid_sync_at(&mut self, phase: u32) {
-        #[cfg(feature = "trace")]
-        if let Some(t) = &mut self.inner {
-            t.grid_sync_phases.push(phase);
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = phase;
-        }
+        self.trace.grid_sync_phases.push(phase);
     }
 
     /// Attaches the kernel's metered `distinct_atomic_addrs` for the
     /// hotspot cross-check.
     #[inline]
     pub fn note_metered_atomics(&mut self, distinct: u64) {
-        #[cfg(feature = "trace")]
-        if let Some(t) = &mut self.inner {
-            t.metered_atomic_addrs = Some(distinct);
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            let _ = distinct;
-        }
+        self.trace.metered_atomic_addrs = Some(distinct);
     }
 
-    /// Publishes the trace to the collector (no-op when inactive).
+    /// Publishes the trace to the capture.
     #[inline]
     pub fn commit(self) {
-        #[cfg(feature = "trace")]
-        if let Some(t) = self.inner {
-            imp::submit(*t);
-        }
+        let trace = self.trace;
+        capture::submit(|launch| LaunchTrace { launch, ..trace });
     }
 }
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(all(test, feature = "telemetry"))]
 mod tests {
     use super::*;
 
     #[test]
     fn capture_round_trip() {
-        begin_capture();
-        assert!(capturing());
-        let mut rec = LaunchRecorder::start("toy", 1);
-        assert!(rec.active());
-        rec.access(0, 0, 0, Space::Global, AccessKind::Write, 42);
-        rec.block_barriers(0, 32, 1);
-        rec.grid_sync_at(0);
-        rec.note_metered_atomics(7);
-        rec.commit();
-        let traces = end_capture();
-        assert!(!capturing());
-        assert_eq!(traces.len(), 1);
+        assert!(LaunchRecorder::start("toy", 0).is_none(), "no capture");
+        let ((), mut cap) = capture::record(|| {
+            assert!(LaunchRecorder::start("toy", 0).is_none(), "not collected");
+            capture::collect::<LaunchTrace>();
+            let mut rec = LaunchRecorder::start("toy", 1).expect("collecting");
+            rec.access(0, 0, 0, Space::Global, AccessKind::Write, 42);
+            rec.block_barriers(0, 32, 1);
+            rec.grid_sync_at(0);
+            rec.note_metered_atomics(7);
+            rec.commit();
+            LaunchRecorder::start("toy2", 0)
+                .expect("collecting")
+                .commit();
+        });
+        let traces = cap.take::<LaunchTrace>();
+        assert_eq!(traces.len(), 2);
         let t = &traces[0];
         assert_eq!(t.kernel, "toy");
+        assert_eq!((t.launch, traces[1].launch), (0, 1));
         assert_eq!(t.accesses.len(), 1);
         assert_eq!(t.accesses[0].thread.device, 1);
         assert_eq!(t.metered_atomic_addrs, Some(7));
         assert_eq!(t.grid_sync_phases, vec![0]);
-    }
-
-    #[test]
-    fn inactive_recorder_records_nothing() {
-        // no begin_capture
-        let mut rec = LaunchRecorder::start("toy", 0);
-        assert!(!rec.active());
-        rec.access(0, 0, 0, Space::Global, AccessKind::Read, 1);
-        rec.commit();
-        assert!(end_capture().is_empty());
     }
 
     #[test]

@@ -608,21 +608,17 @@ impl<C: Curve> ProverService<C> {
     }
 
     /// Emits a telemetry instant on the `service` lane (no-op unless the
-    /// `telemetry` feature is on and a session is active).
+    /// `telemetry` feature is on and a capture is active).
     #[allow(unused_variables)]
     fn instant(&self, name: &str, args: Vec<(String, String)>) {
         #[cfg(feature = "telemetry")]
-        {
-            if distmsm_telemetry::session::active() {
-                distmsm_telemetry::session::push_instant(distmsm_telemetry::Instant {
-                    name: name.to_string(),
-                    cat: "service".to_string(),
-                    lane: distmsm_telemetry::Lane::Service,
-                    t_s: self.clock_s,
-                    args,
-                });
-            }
-        }
+        distmsm_telemetry::capture::push_instant(distmsm_telemetry::Instant {
+            name: name.to_string(),
+            cat: "service".to_string(),
+            lane: distmsm_telemetry::Lane::Service,
+            t_s: self.clock_s,
+            args,
+        });
     }
 
     fn record_transitions(&mut self, transitions: Vec<PoolTransition>) {

@@ -14,7 +14,7 @@
 //! # Design constraints
 //!
 //! * **No external tracing dependency.** The crate is a leaf: plain
-//!   structs, a process-global session, hand-rolled JSON.
+//!   structs, a capture scoped to the recording thread, hand-rolled JSON.
 //! * **Deterministic, simulated timestamps.** Every span boundary is a
 //!   value of the `gpu_sim::cost` model (seconds of *simulated* time),
 //!   never wall clock — identical runs produce byte-identical traces.
@@ -28,19 +28,19 @@
 //! | Module | Contents |
 //! |---|---|
 //! | [`span`] | [`Lane`], [`Span`], [`Instant`], [`CounterSample`], [`Histogram`], [`Timeline`] with well-nesting + phase aggregation |
-//! | [`session`] | the process-global capture session with its simulated-clock cursor |
+//! | [`capture`] | the scoped [`record`] capture: timeline, simulated-clock cursor and typed item streams |
 //! | [`export`] | Chrome-trace JSON emission and the live-span phase table |
 //! | [`json`] | minimal JSON parser and the Chrome-trace schema validator |
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod capture;
 pub mod export;
 pub mod json;
-pub mod session;
 pub mod span;
 
+pub use capture::{record, Capture};
 pub use export::{phase_table, to_chrome_trace};
 pub use json::{parse as parse_json, validate_chrome_trace, JsonValue};
-pub use session::{active, advance_s, begin, clock_s, end};
 pub use span::{CounterSample, Histogram, Instant, Lane, Span, Timeline};

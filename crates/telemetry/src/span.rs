@@ -56,7 +56,7 @@ impl Lane {
 }
 
 /// One completed duration event on a lane. Times are *simulated* seconds
-/// from the session clock; `t1_s >= t0_s` always.
+/// from the capture's clock; `t1_s >= t0_s` always.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Span {
     /// Event name (`"scatter:w3[0..128)"`, `"bucket-reduce(cpu)"`, …).
@@ -167,8 +167,7 @@ impl Histogram {
 }
 
 /// A captured execution: every span, instant, counter sample and
-/// histogram recorded between [`crate::session::begin`] and
-/// [`crate::session::end`].
+/// histogram recorded inside one [`crate::capture::record`] call.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Timeline {
     /// Duration events, in emission order.

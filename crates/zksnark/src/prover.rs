@@ -150,7 +150,7 @@ impl Groth16Prover {
         let mut msm_retries = 0u32;
         let a_msm = {
             #[cfg(feature = "telemetry")]
-            let t0 = distmsm_telemetry::session::clock_s();
+            let t0 = distmsm_telemetry::capture::clock_s();
             let rep = self.msm_with_retry(
                 &MsmInstance::<Bn254G1> {
                     points: g1_bases[..m].to_vec(),
@@ -164,7 +164,7 @@ impl Groth16Prover {
         };
         let b_msm = {
             #[cfg(feature = "telemetry")]
-            let t0 = distmsm_telemetry::session::clock_s();
+            let t0 = distmsm_telemetry::capture::clock_s();
             let rep = self.msm_with_retry(
                 &MsmInstance::<Bn254G2> {
                     points: g2_bases,
@@ -178,7 +178,7 @@ impl Groth16Prover {
         };
         let c_base = {
             #[cfg(feature = "telemetry")]
-            let t0 = distmsm_telemetry::session::clock_s();
+            let t0 = distmsm_telemetry::capture::clock_s();
             let rep = self.msm_with_retry(
                 &MsmInstance::<Bn254G1> {
                     points: g1_bases[..m].to_vec(),
@@ -192,7 +192,7 @@ impl Groth16Prover {
         };
         let h_msm = {
             #[cfg(feature = "telemetry")]
-            let t0 = distmsm_telemetry::session::clock_s();
+            let t0 = distmsm_telemetry::capture::clock_s();
             let rep = self.msm_with_retry(
                 &MsmInstance::<Bn254G1> {
                     points: g1_bases[..d].to_vec(),
@@ -292,25 +292,25 @@ pub fn others_time_cpu(nnz: u64, d: u64, system: &MultiGpuSystem) -> f64 {
 }
 
 /// Prover-lane telemetry: structural `"msm"` wrapper spans around the
-/// engine emissions (which advance the session clock themselves) and
+/// engine emissions (which advance the capture's clock themselves) and
 /// serial NTT/"others" stage spans that advance the clock by their own
 /// duration.
 #[cfg(feature = "telemetry")]
 mod telem {
-    use distmsm_telemetry::{session, Lane, Span};
+    use distmsm_telemetry::{capture, Lane, Span};
 
     /// Closes a structural MSM wrapper opened at `t0_s`: the engine's
     /// emission advanced the clock to the MSM's end.
     pub(crate) fn msm_span(name: &str, t0_s: f64) {
-        if !session::active() {
+        if !capture::active() {
             return;
         }
-        session::push_span(Span {
+        capture::push_span(Span {
             name: name.into(),
             cat: "msm".into(),
             lane: Lane::Prover,
             t0_s,
-            t1_s: session::clock_s(),
+            t1_s: capture::clock_s(),
             args: Vec::new(),
         });
     }
@@ -318,11 +318,11 @@ mod telem {
     /// Emits one serial prover stage at the clock cursor and advances
     /// the cursor past it.
     pub(crate) fn serial_stage(name: &str, cat: &str, dur_s: f64) {
-        if !session::active() || dur_s <= 0.0 {
+        if !capture::active() || dur_s <= 0.0 {
             return;
         }
-        let t0 = session::clock_s();
-        session::push_span(Span {
+        let t0 = capture::clock_s();
+        capture::push_span(Span {
             name: name.into(),
             cat: cat.into(),
             lane: Lane::Prover,
@@ -330,7 +330,7 @@ mod telem {
             t1_s: t0 + dur_s,
             args: Vec::new(),
         });
-        session::advance_s(dur_s);
+        capture::advance_s(dur_s);
     }
 }
 
